@@ -13,10 +13,13 @@ through a pluggable :mod:`~repro.sim.spatial` index (``"grid"`` by default,
 ``"linear"`` as the exhaustive oracle).  Candidates from the index are
 re-filtered against live positions and visited in registration order, so
 with a finite-range propagation model (unit disk, the default) both
-backends produce byte-identical event traces.  Models whose received
-power never drops to ``NO_SIGNAL_DBM`` (two-ray, free-space, shadowing)
-are approximated under the grid: transmitters beyond the carrier-sense
-cutoff are excluded from carrier sensing and interference sums, the same
+backends produce byte-identical event traces.  Such a model's hard range
+is also the evaluation reach (see :meth:`WirelessMedium._evaluation_reach`):
+beyond it the received power is exactly ``NO_SIGNAL_DBM``, so nothing
+skipped could have had an effect.  Models whose received power never drops
+to ``NO_SIGNAL_DBM`` (two-ray, free-space, shadowing) are approximated
+under the grid: transmitters beyond the carrier-sense cutoff (2x nominal)
+are excluded from carrier sensing and interference sums, the same
 bounded-range tradeoff :meth:`WirelessMedium._reception_cutoff` already
 applies to reception.
 
@@ -214,10 +217,10 @@ class WirelessMedium:
         self.vectorized_min_rows = VECTORIZED_MIN_ROWS
 
     def _default_cell_size(self) -> float:
-        nominal = self.propagation.nominal_range(
+        reach = self._evaluation_reach(
             self.stack.tx_power_dbm, self.reception.sensitivity_dbm
         )
-        return nominal * 2.0 if nominal > 0 else 500.0
+        return reach if reach > 0 else 500.0
 
     # --------------------------------------------------------------- topology
     def register(self, node: "Node") -> None:
@@ -368,11 +371,21 @@ class WirelessMedium:
         """Registered nodes within ``radius`` metres of ``position``."""
         if self._vectorized:
             return self._nodes_within_vectorized(position, radius, exclude)
-        return [
-            node
-            for node in self._nodes_near(position, radius)
-            if node.node_id != exclude and position.distance_to(node.position) <= radius
-        ]
+        # Inlined twin of `position.distance_to(node.position)`: one position
+        # read and one distance per candidate (a per-beacon query).
+        x = position.x
+        y = position.y
+        sqrt = math.sqrt
+        result = []
+        for node in self._nodes_near(position, radius):
+            if node.node_id == exclude:
+                continue
+            other = node.position
+            dx = x - other.x
+            dy = y - other.y
+            if sqrt(dx * dx + dy * dy) <= radius:
+                result.append(node)
+        return result
 
     def _nodes_within_vectorized(
         self, position: Vec2, radius: float, exclude: Optional[int]
@@ -527,59 +540,74 @@ class WirelessMedium:
             ]
         else:
             interferers = []
-        for node in self._nodes_near(transmission.sender_position, cutoff):
-            if node.node_id == transmission.sender_id:
+        sender_position = transmission.sender_position
+        sender_x = sender_position.x
+        sender_y = sender_position.y
+        sender_id = transmission.sender_id
+        next_hop = transmission.next_hop
+        packet = transmission.packet
+        tx_power_dbm = transmission.tx_power_dbm
+        rx_power_from_distance = self.propagation.rx_power_dbm_from_distance
+        decide = self.reception.decide
+        trace = self.trace if self.trace.enabled else None
+        sqrt = math.sqrt
+        for node in self._nodes_near(sender_position, cutoff):
+            node_id = node.node_id
+            if node_id == sender_id:
                 continue
+            # One live-position read and one distance per candidate: the
+            # inlined twin of `sender_position.distance_to(...)`, handed to
+            # the distance form of the propagation model.
             receiver_position = node.position
-            distance = transmission.sender_position.distance_to(receiver_position)
+            dx = sender_x - receiver_position.x
+            dy = sender_y - receiver_position.y
+            distance = sqrt(dx * dx + dy * dy)
             if distance > cutoff:
                 continue
-            rx_power = self.propagation.rx_power_dbm(
-                transmission.tx_power_dbm, transmission.sender_position, receiver_position
-            )
+            rx_power = rx_power_from_distance(tx_power_dbm, distance)
             if rx_power <= NO_SIGNAL_DBM:
                 continue
-            interference = self._interference_at(receiver_position, interferers)
-            outcome = self.reception.decide(rx_power, interference, rng)
-            intended = (
-                transmission.next_hop == BROADCAST
-                or transmission.next_hop == node.node_id
-            )
+            if interferers:
+                interference = self._interference_at(receiver_position, interferers)
+            else:
+                interference = NO_SIGNAL_DBM
+            outcome = decide(rx_power, interference, rng)
+            intended = next_hop == BROADCAST or next_hop == node_id
             if outcome.ok:
                 if intended:
                     if is_unicast:
                         unicast_delivered = True
-                    self.trace.record(
-                        now,
-                        "rx",
-                        node.node_id,
-                        ptype=transmission.packet.ptype,
-                        sender=transmission.sender_id,
-                        uid=transmission.packet.uid,
-                    )
+                    if trace is not None:
+                        trace.record(
+                            now,
+                            "rx",
+                            node_id,
+                            ptype=packet.ptype,
+                            sender=sender_id,
+                            uid=packet.uid,
+                        )
                     node.deliver(
                         self._deliverable_frame(node, transmission.packet),
-                        transmission.sender_id,
+                        sender_id,
                         rx_power_dbm=rx_power,
                     )
             elif outcome.decision is ReceptionDecision.COLLISION:
                 if intended:
                     self.stats.collision()
-                    self.trace.record(
-                        now,
-                        "collision",
-                        node.node_id,
-                        sender=transmission.sender_id,
-                        uid=transmission.packet.uid,
-                    )
-            elif intended and transmission.next_hop == node.node_id:
+                    if trace is not None:
+                        trace.record(
+                            now,
+                            "collision",
+                            node_id,
+                            sender=sender_id,
+                            uid=packet.uid,
+                        )
+            elif intended and next_hop == node_id:
                 self.stats.weak_signal()
         if is_unicast:
-            sender = self._nodes.get(transmission.sender_id)
+            sender = self._nodes.get(sender_id)
             if sender is not None and sender.mac is not None:
-                sender.mac.notify_unicast_result(
-                    transmission.packet, transmission.next_hop, unicast_delivered
-                )
+                sender.mac.notify_unicast_result(packet, next_hop, unicast_delivered)
 
     def _node_row_list(self):
         """Node objects in row order, cached across position writes.
@@ -898,17 +926,31 @@ class WirelessMedium:
             return NO_SIGNAL_DBM
         return self.interference.combine(contributions)
 
+    def _evaluation_reach(self, tx_power_dbm: float, threshold_dbm: float) -> float:
+        """Sender distance beyond which a frame at ``tx_power_dbm`` is moot.
+
+        The one rule behind the reception cutoff, the carrier-sense reach
+        and the default grid cell size.  A channel with a hard range (one
+        whose ``constant_rx_profile`` reports a disk, e.g. the unit disk)
+        delivers exactly ``NO_SIGNAL_DBM`` beyond it, so the hard range *is*
+        the reach and nothing skipped could have had an effect.  Every other
+        channel gets 2x the distance at which the mean power hits
+        ``threshold_dbm``: shadowed channels occasionally reach beyond the
+        nominal range, and the margin keeps that tail while bounding the
+        per-frame work.
+        """
+        profile = self.propagation.constant_rx_profile(tx_power_dbm)
+        if profile is not None:
+            return profile[1]
+        nominal = self.propagation.nominal_range(tx_power_dbm, threshold_dbm)
+        return nominal * 2.0 if nominal > 0 else 0.0
+
     def _reception_cutoff(self, tx_power_dbm: float) -> float:
         """Distance beyond which reception is impossible (evaluation cutoff)."""
         cached = self._range_cache.get(tx_power_dbm)
         if cached is not None:
             return cached
-        nominal = self.propagation.nominal_range(
-            tx_power_dbm, self.reception.sensitivity_dbm
-        )
-        # Shadowed channels occasionally reach beyond the nominal range;
-        # a 2x margin keeps that tail while bounding the per-frame work.
-        cutoff = nominal * 2.0 if nominal > 0 else 0.0
+        cutoff = self._evaluation_reach(tx_power_dbm, self.reception.sensitivity_dbm)
         self._range_cache[tx_power_dbm] = cutoff
         return cutoff
 
@@ -916,8 +958,8 @@ class WirelessMedium:
         """Sender distance beyond which a transmission cannot trip carrier sense.
 
         Uses the highest transmit power seen on the channel against the
-        carrier-sense threshold, with the same 2x shadowing margin as
-        :meth:`_reception_cutoff`.
+        carrier-sense threshold, under the same rule as
+        :meth:`_reception_cutoff` (see :meth:`_evaluation_reach`).
         """
         tx_power = self._max_tx_power_dbm
         if tx_power is None:
@@ -925,10 +967,7 @@ class WirelessMedium:
         cached = self._cs_range_cache.get(tx_power)
         if cached is not None:
             return cached
-        nominal = self.propagation.nominal_range(
-            tx_power, self.carrier_sense_threshold_dbm
-        )
-        reach = nominal * 2.0 if nominal > 0 else 0.0
+        reach = self._evaluation_reach(tx_power, self.carrier_sense_threshold_dbm)
         self._cs_range_cache[tx_power] = reach
         return reach
 

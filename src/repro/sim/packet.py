@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import MutableMapping
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, Dict, Iterator, Optional
 
@@ -192,6 +192,10 @@ class Packet:
         and dropped without mutation.  The uid is drawn from the same
         counter as :meth:`copy`, so traces are byte-identical either way.
 
+        The scalar fields are snapshotted into the view at call time, like
+        :meth:`copy` does: reading them is a plain instance-dict hit, and a
+        later write to one of them on the base does not reach the view.
+
         Contract: a frame handed to the medium is immutable while in
         flight.  Protocols that mutate received packets in place (rather
         than forwarding a copy) must set ``mutates_in_flight = True`` so
@@ -202,7 +206,15 @@ class Packet:
         to the shared base.
         """
         fresh = _new_instance(PacketView)
-        fresh.__dict__ = {"_base": self, "uid": next(_uid_counter)}
+        state = self.__dict__.copy()
+        # headers/payload stay out of the snapshot: the first read goes
+        # through PacketView.__getattr__, which wraps the shared dict in a
+        # CowMapping.
+        state.pop("headers", None)
+        state.pop("payload", None)
+        state["_base"] = self
+        state["uid"] = next(_uid_counter)
+        fresh.__dict__ = state
         return fresh
 
     def forwarded(self) -> "Packet":
@@ -234,43 +246,24 @@ class Packet:
 _PACKET_FIELDS = tuple(f.name for f in fields(Packet))
 
 
-class _FieldDelegate:
-    """Non-data descriptor forwarding a field read to the view's base.
-
-    Needed because dataclass fields *with plain defaults* leave the default
-    on the class (``Packet.flow_id is None``), which would satisfy attribute
-    lookup before ``PacketView.__getattr__`` ever ran.  A non-data
-    descriptor slots into the right spot in the lookup order: an instance
-    ``__dict__`` write (a locally shadowed field) still wins, everything
-    else delegates to ``_base``.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj: Any, objtype: Any = None) -> Any:
-        if obj is None:
-            return self
-        return getattr(obj.__dict__["_base"], self.name)
-
-
 class PacketView(Packet):
     """Copy-on-write view of a :class:`Packet` (see :meth:`Packet.view`).
 
-    Only ``_base``, the fresh ``uid`` and any locally written fields live in
-    the instance dict; every other attribute read falls through
-    ``__getattr__`` to the base packet.  ``headers``/``payload`` reads hand
-    out a cached :class:`CowMapping`, so item writes materialize a private
-    dict instead of touching the shared one.  Plain attribute writes (e.g.
-    the medium stamping ``rx_power_dbm``) naturally shadow the base.
+    The instance dict holds ``_base``, the fresh ``uid`` and a snapshot of
+    the base's scalar fields taken at :meth:`Packet.view` time, so field
+    reads never leave the view and plain attribute writes (e.g. the medium
+    stamping ``rx_power_dbm``) stay local.  ``headers``/``payload`` are
+    left out of the snapshot: their first read falls through
+    ``__getattr__`` and caches a :class:`CowMapping` over the base's dict,
+    so item writes materialize a private dict instead of touching the
+    shared one.
     """
 
     def __getattr__(self, name: str) -> Any:
         # Only reached when `name` is not in the instance dict or on the
-        # class; underscore names never delegate (protects pickling/copy
-        # protocol probes from recursing through `_base`).
+        # class (in practice: headers/payload before their first read);
+        # underscore names never delegate (protects pickling/copy protocol
+        # probes from recursing through `_base`).
         if name.startswith("_"):
             raise AttributeError(name)
         value = getattr(self.__dict__["_base"], name)
@@ -283,8 +276,9 @@ class PacketView(Packet):
         """Materialize a full, independent :class:`Packet` from this view."""
         fresh = object.__new__(Packet)
         state = fresh.__dict__
-        # Field-wise getattr walks the shadow -> base chain, so this stays
-        # correct even for views of views.
+        # Scalar fields come from the snapshot; headers/payload resolve to
+        # the view's current mapping (its own, or its base chain's), so this
+        # stays correct even for views of views.
         for name in _PACKET_FIELDS:
             state[name] = getattr(self, name)
         for key in ("headers", "payload"):
@@ -297,16 +291,6 @@ class PacketView(Packet):
         if overrides:
             state.update(overrides)
         return fresh
-
-
-# Fields with plain defaults live on the Packet class itself; shadow each
-# with a delegating descriptor so views fall through to their base (see
-# _FieldDelegate).  Fields without defaults, and default_factory fields,
-# leave no class attribute and reach PacketView.__getattr__ naturally.
-for _packet_field in fields(Packet):
-    if _packet_field.default is not MISSING:
-        setattr(PacketView, _packet_field.name, _FieldDelegate(_packet_field.name))
-del _packet_field
 
 
 def make_data_packet(

@@ -126,3 +126,19 @@ class TestMacConfigOverride:
         second = medium._reception_cutoff(20.0)
         assert first == second
         assert first > 0
+        # The default unit disk has a hard range: the cutoff is the range
+        # itself, not 2x nominal (beyond it every power is NO_SIGNAL_DBM).
+        assert first == 250.0
+        assert medium._default_cell_size() == 250.0
+        medium._max_tx_power_dbm = 20.0
+        assert medium._carrier_sense_reach() == 250.0
+
+    def test_channel_without_hard_range_keeps_twice_nominal(self):
+        from repro.radio.propagation import LogNormalShadowing
+
+        sim = Simulator(seed=1)
+        medium = WirelessMedium(sim, propagation=LogNormalShadowing(sigma_db=4.0))
+        nominal = medium.nominal_range(20.0)
+        assert nominal > 0
+        assert medium._reception_cutoff(20.0) == nominal * 2.0
+        assert medium._default_cell_size() == nominal * 2.0

@@ -167,3 +167,117 @@ class TestMutatesInFlightOptOut:
         from repro.protocols.base import RoutingProtocol
 
         assert RoutingProtocol.mutates_in_flight is False
+
+
+class TestSnapshotViews:
+    """Views snapshot the scalar fields at view() time, like copy() does."""
+
+    SCALAR_FIELDS = (
+        "kind",
+        "protocol",
+        "ptype",
+        "source",
+        "destination",
+        "size_bytes",
+        "created_at",
+        "ttl",
+        "hop_count",
+        "flow_id",
+        "seq",
+        "rx_power_dbm",
+    )
+
+    def test_fields_equal_base_at_view_time(self):
+        packet = _fresh_packet(rx_power_dbm=-80.0, ttl=9)
+        view = packet.view()
+        for name in self.SCALAR_FIELDS:
+            assert view.__dict__[name] == getattr(packet, name)
+        assert dict(view.headers) == packet.headers
+        assert dict(view.payload) == packet.payload
+
+    def test_base_write_after_view_does_not_reach_the_view(self):
+        packet = _fresh_packet()
+        view = packet.view()
+        copy = packet.copy()
+        packet.ttl = 1
+        packet.hop_count = 5
+        packet.rx_power_dbm = -90.0
+        packet.flow_id = 99
+        for snapshot in (view, copy):
+            assert snapshot.ttl == 64
+            assert snapshot.hop_count == 0
+            assert snapshot.rx_power_dbm is None
+            assert snapshot.flow_id == 7
+
+    def test_local_writes_shadow_the_base(self):
+        packet = _fresh_packet()
+        view = packet.view()
+        view.ttl = 3
+        view.seq = 11
+        assert (view.ttl, view.seq) == (3, 11)
+        assert (packet.ttl, packet.seq) == (64, 3)
+        assert view.copy().ttl == 3
+
+    def test_header_and_payload_item_writes_stay_private(self):
+        packet = _fresh_packet()
+        view = packet.view()
+        view.headers["weight"] = 9.0
+        view.payload["extra"] = 1
+        del view.payload["blob"]
+        assert packet.headers["weight"] == 2.5
+        assert packet.payload == {"blob": {"k": "v"}}
+        assert view.payload == {"extra": 1}
+
+    def test_view_of_view_snapshots_its_parent(self):
+        packet = _fresh_packet()
+        first = packet.view()
+        first.hop_count = 2
+        first.headers["mark"] = "first"
+        second = first.view()
+        first.hop_count = 7
+        packet.ttl = 1
+        assert second.hop_count == 2
+        assert second.ttl == 64
+        assert second.uid not in (packet.uid, first.uid)
+        # Headers resolve through the parent view's (materialized) mapping.
+        assert second.headers["mark"] == "first"
+        second.headers["mark"] = "second"
+        assert first.headers["mark"] == "first"
+        assert "mark" not in packet.headers
+
+    def test_mutates_in_flight_nodes_still_receive_full_copies(self):
+        from tests.helpers import build_static_network
+
+        class Recorder:
+            mutates_in_flight = False
+
+            def __init__(self):
+                self.received = []
+
+            def start(self):  # pragma: no cover - unused
+                pass
+
+            def handle_packet(self, packet, sender_id):
+                self.received.append(packet)
+
+        class Mutator(Recorder):
+            mutates_in_flight = True
+
+        sim, network, stats, nodes = build_static_network(
+            [(0.0, 0.0), (100.0, 0.0), (-100.0, 0.0)]
+        )
+        sender, reader, mutator = nodes
+        sender.attach_protocol(Recorder())
+        reader.attach_protocol(Recorder())
+        mutator.attach_protocol(Mutator())
+        frame = make_data_packet("p", sender.node_id, BROADCAST)
+        frame.headers["path"] = [sender.node_id]
+        sim.schedule(0.0, sender.send, frame, BROADCAST)
+        sim.run(until=0.1)
+        (shared,) = reader.protocol.received
+        (owned,) = mutator.protocol.received
+        assert isinstance(shared, PacketView)
+        assert type(owned) is Packet
+        owned.headers["path"].append(mutator.node_id)
+        assert shared.headers["path"] == [sender.node_id]
+        assert shared.rx_power_dbm is not None and owned.rx_power_dbm is not None
