@@ -24,9 +24,12 @@ from typing import Optional
 from repro.geometry import Vec2
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
 def _normal_cdf(x: float) -> float:
     """Standard normal CDF."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def _normal_pdf(x: float) -> float:
@@ -240,17 +243,31 @@ def expected_link_duration(
     """
     if abs(initial_separation) > communication_range:
         return 0.0
+    # The integrand is link_alive_probability(initial_separation, t, ...);
+    # its general case is inlined below with the per-call invariants
+    # hoisted, in the same operations and order (a TBP node evaluates up to
+    # horizon/step of them per neighbour).  The degenerate cases (t <= 0,
+    # std <= 0, an underflowing spread) call the function itself.
+    r = communication_range
+    d0 = initial_separation
+    mean = relative_speed_mean
+    std = relative_speed_std
+    upper_offset = r - d0
+    lower_offset = -r - d0
+    erfc = math.erfc
     total = 0.0
     previous = 1.0
     t = step
     while t <= horizon:
-        current = link_alive_probability(
-            initial_separation,
-            t,
-            relative_speed_mean,
-            relative_speed_std,
-            communication_range,
-        )
+        spread = std * t
+        if t <= 0 or std <= 0 or spread <= 0.0:
+            current = link_alive_probability(d0, t, mean, std, r)
+        else:
+            drift = mean * t
+            alive = 0.5 * erfc(-((upper_offset - drift) / spread) / _SQRT2) - 0.5 * erfc(
+                -((lower_offset - drift) / spread) / _SQRT2
+            )
+            current = alive if alive > 0.0 else 0.0
         total += 0.5 * (previous + current) * step
         previous = current
         if current < 1e-4:

@@ -39,9 +39,15 @@ def combine_dbm(powers_dbm: Iterable[float]) -> float:
     """Sum several received powers expressed in dBm.
 
     Interference from concurrent transmissions is additive in linear units,
-    so the values are converted to mW, summed, and converted back.
+    so the values are converted to mW, summed, and converted back.  The
+    conversion is :func:`dbm_to_mw` spelled inline: this runs once per
+    receiver of every frame that overlaps another, and the fold keeps
+    ``sum()`` (whose float algorithm CPython owns, so every caller folds
+    alike).
     """
-    total_mw = sum(dbm_to_mw(p) for p in powers_dbm)
+    total_mw = sum(
+        [0.0 if p <= NO_SIGNAL_DBM else 10.0 ** (p / 10.0) for p in powers_dbm]
+    )
     return mw_to_dbm(total_mw)
 
 

@@ -43,6 +43,15 @@ SPEED_OF_LIGHT = 299_792_458.0
 DEFAULT_FREQUENCY_HZ = 5.9e9
 
 
+def _unseeded_draw(model: str, what: str) -> ValueError:
+    """The error a random model raises when asked to draw without an rng."""
+    return ValueError(
+        f"{model} draw without a seeded rng: pass the simulator's 'radio' "
+        f"stream (rng=sim.rng.stream('radio')) so {what} samples derive from "
+        "scenario.seed"
+    )
+
+
 def _log10_elementwise(values):
     """Elementwise ``math.log10`` over a numpy array.
 
@@ -70,20 +79,23 @@ class PropagationModel(ABC):
     #: as the scalar backends.
     deterministic: bool = False
 
-    @abstractmethod
     def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """Received power in dBm for a transmission from ``tx_pos`` to ``rx_pos``."""
+        """Received power in dBm for a transmission from ``tx_pos`` to ``rx_pos``.
 
-    def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
-        """Scalar distance-form of :meth:`rx_power_dbm`.
-
-        Every bundled model's received power depends on geometry only through
-        the transmitter-receiver distance; this entry point lets callers that
-        already computed the distance (the vectorized medium backend) skip
-        rebuilding positions.  The default synthesizes positions ``distance``
-        apart; subclasses override it with the direct formula.
+        Every model's received power depends on geometry only through the
+        transmitter-receiver distance, so this is the distance form at
+        ``tx_pos.distance_to(rx_pos)``.
         """
-        return self.rx_power_dbm(tx_power_dbm, Vec2(0.0, 0.0), Vec2(distance, 0.0))
+        return self.rx_power_dbm_from_distance(tx_power_dbm, tx_pos.distance_to(rx_pos))
+
+    @abstractmethod
+    def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
+        """Received power in dBm at ``distance`` metres: the per-model primitive.
+
+        The medium calls it straight from its per-pair loops with the
+        distance computed inline; stochastic models make their one draw per
+        call here.
+        """
 
     def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
         """Received powers (float64 array) for a float64 array of distances.
@@ -151,8 +163,12 @@ class PropagationModel(ABC):
         return (low + high) / 2.0
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
-        """Mean received power at ``distance`` metres (no fading)."""
-        return self.rx_power_dbm(tx_power_dbm, Vec2(0.0, 0.0), Vec2(distance, 0.0))
+        """Mean received power at ``distance`` metres (no fading).
+
+        The distance form itself for deterministic models; random models
+        override it with their mean path loss.
+        """
+        return self.rx_power_dbm_from_distance(tx_power_dbm, distance)
 
 
 class UnitDiskPropagation(PropagationModel):
@@ -169,12 +185,6 @@ class UnitDiskPropagation(PropagationModel):
         if communication_range <= 0:
             raise ValueError("communication range must be positive")
         self.communication_range = communication_range
-
-    def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """Transmit power inside the disk, no signal outside."""
-        if tx_pos.distance_to(rx_pos) <= self.communication_range:
-            return tx_power_dbm
-        return NO_SIGNAL_DBM
 
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power inside the disk, no signal outside."""
@@ -213,12 +223,6 @@ class UnitDiskPropagation(PropagationModel):
         """One in-disk power level: exactly what the count-fold needs."""
         return (dbm_to_mw(float(tx_power_dbm)), self.communication_range)
 
-    def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
-        """Transmit power inside the disk, no signal outside."""
-        if distance <= self.communication_range:
-            return tx_power_dbm
-        return NO_SIGNAL_DBM
-
     def nominal_range(self, tx_power_dbm: float, sensitivity_dbm: float) -> float:
         """The configured communication range (independent of power)."""
         return self.communication_range
@@ -248,10 +252,6 @@ class FreeSpacePropagation(PropagationModel):
         clamped = np.maximum(np.asarray(distances, dtype=np.float64), 1.0)
         return 20.0 * _log10_elementwise(4.0 * math.pi * clamped / self.wavelength)
 
-    def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """Transmit power minus Friis path loss."""
-        return tx_power_dbm - self.path_loss_db(tx_pos.distance_to(rx_pos))
-
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus Friis path loss."""
         return tx_power_dbm - self.path_loss_db(distance)
@@ -259,10 +259,6 @@ class FreeSpacePropagation(PropagationModel):
     def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
         """Transmit power minus Friis path loss, elementwise."""
         return tx_power_dbm - self.path_loss_db_batch(distances)
-
-    def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
-        """Transmit power minus Friis path loss."""
-        return tx_power_dbm - self.path_loss_db(distance)
 
 
 class TwoRayGroundPropagation(PropagationModel):
@@ -312,10 +308,6 @@ class TwoRayGroundPropagation(PropagationModel):
             loss[far] = 40.0 * _log10_elementwise(clamped[far]) - 20.0 * math.log10(h * h)
         return loss
 
-    def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """Transmit power minus two-ray path loss."""
-        return tx_power_dbm - self.path_loss_db(tx_pos.distance_to(rx_pos))
-
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """Transmit power minus two-ray path loss."""
         return tx_power_dbm - self.path_loss_db(distance)
@@ -323,10 +315,6 @@ class TwoRayGroundPropagation(PropagationModel):
     def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
         """Transmit power minus two-ray path loss, elementwise."""
         return tx_power_dbm - self.path_loss_db_batch(distances)
-
-    def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
-        """Transmit power minus two-ray path loss."""
-        return tx_power_dbm - self.path_loss_db(distance)
 
 
 class LogNormalShadowing(PropagationModel):
@@ -357,17 +345,8 @@ class LogNormalShadowing(PropagationModel):
         # No fixed-seed fallback: analytic uses (mean_rx_power_dbm,
         # link_probability) never draw, and a shadowing *draw* without the
         # simulator's seeded "radio" stream would silently ignore
-        # scenario.seed -- _draw_rng refuses instead.
+        # scenario.seed -- the distance form refuses instead.
         self._rng = rng
-
-    def _draw_rng(self) -> random.Random:
-        if self._rng is None:
-            raise ValueError(
-                "LogNormalShadowing draw without a seeded rng: pass the "
-                "simulator's 'radio' stream (rng=sim.rng.stream('radio')) so "
-                "shadowing samples derive from scenario.seed"
-            )
-        return self._rng
 
     @property
     def deterministic(self) -> bool:
@@ -393,16 +372,31 @@ class LogNormalShadowing(PropagationModel):
             clamped / self.reference_distance
         )
 
-    def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """Transmit power minus mean path loss minus a Gaussian shadowing draw."""
-        distance = tx_pos.distance_to(rx_pos)
-        shadowing = self._draw_rng().gauss(0.0, self.sigma_db) if self.sigma_db > 0 else 0.0
-        return tx_power_dbm - self.mean_path_loss_db(distance) - shadowing
-
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
-        """Transmit power minus mean path loss minus a Gaussian shadowing draw."""
-        shadowing = self._draw_rng().gauss(0.0, self.sigma_db) if self.sigma_db > 0 else 0.0
-        return tx_power_dbm - self.mean_path_loss_db(distance) - shadowing
+        """Transmit power minus mean path loss minus a Gaussian shadowing draw.
+
+        :meth:`mean_path_loss_db` is inlined in its own operation order (this
+        is the per-receiver, per-interferer call of a shadowed channel).
+        """
+        sigma = self.sigma_db
+        if sigma > 0:
+            rng = self._rng
+            if rng is None:
+                raise _unseeded_draw("LogNormalShadowing", "shadowing")
+            shadowing = rng.gauss(0.0, sigma)
+        else:
+            shadowing = 0.0
+        d0 = self.reference_distance
+        return (
+            tx_power_dbm
+            - (
+                self.reference_loss_db
+                + 10.0
+                * self.path_loss_exponent
+                * math.log10((d0 if d0 > distance else distance) / d0)
+            )
+            - shadowing
+        )
 
     def rx_power_dbm_batch(self, tx_power_dbm: float, distances):
         """Array powers: vectorized when deterministic, element-order draws else."""
@@ -464,33 +458,19 @@ class NakagamiFading(PropagationModel):
         self.mean_model = mean_model if mean_model is not None else TwoRayGroundPropagation()
         # Nakagami fading is always stochastic; refusing to draw unseeded
         # (rather than falling back to a fixed Random(0)) is what keeps
-        # scenario.seed authoritative.  See _draw_rng.
+        # scenario.seed authoritative.
         self._rng = rng
-
-    def _draw_rng(self) -> random.Random:
-        if self._rng is None:
-            raise ValueError(
-                "NakagamiFading draw without a seeded rng: pass the "
-                "simulator's 'radio' stream (rng=sim.rng.stream('radio')) so "
-                "fading samples derive from scenario.seed"
-            )
-        return self._rng
-
-    def rx_power_dbm(self, tx_power_dbm: float, tx_pos: Vec2, rx_pos: Vec2) -> float:
-        """A Gamma(m, mean/m) power draw around the mean received power."""
-        mean_dbm = self.mean_model.rx_power_dbm(tx_power_dbm, tx_pos, rx_pos)
-        if mean_dbm <= NO_SIGNAL_DBM:
-            return NO_SIGNAL_DBM
-        mean_mw = dbm_to_mw(mean_dbm)
-        return mw_to_dbm(self._draw_rng().gammavariate(self.m, mean_mw / self.m))
 
     def rx_power_dbm_from_distance(self, tx_power_dbm: float, distance: float) -> float:
         """A Gamma(m, mean/m) power draw around the mean received power."""
         mean_dbm = self.mean_model.rx_power_dbm_from_distance(tx_power_dbm, distance)
         if mean_dbm <= NO_SIGNAL_DBM:
             return NO_SIGNAL_DBM
+        rng = self._rng
+        if rng is None:
+            raise _unseeded_draw("NakagamiFading", "fading")
         mean_mw = dbm_to_mw(mean_dbm)
-        return mw_to_dbm(self._draw_rng().gammavariate(self.m, mean_mw / self.m))
+        return mw_to_dbm(rng.gammavariate(self.m, mean_mw / self.m))
 
     def mean_rx_power_dbm(self, tx_power_dbm: float, distance: float) -> float:
         """The underlying model's mean power (the fading draw has this mean)."""

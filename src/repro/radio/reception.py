@@ -7,7 +7,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.radio.interference import (
     NO_SIGNAL_DBM,
@@ -31,17 +31,24 @@ class ReceptionDecision(Enum):
     COLLISION = "collision"
 
 
-#: Integer decision codes returned by :meth:`ReceptionModel.decide_batch`
-#: (kept as plain ints so decision arrays stay dense int8).
+#: Integer decision codes: what :meth:`ReceptionModel.decide_code` returns
+#: and :meth:`ReceptionModel.decide_batch` packs (plain ints, so decision
+#: arrays stay dense int8).
 BATCH_RECEIVED = 0
 BATCH_WEAK_SIGNAL = 1
 BATCH_COLLISION = 2
 
-_DECISION_CODES = {
-    ReceptionDecision.RECEIVED: BATCH_RECEIVED,
-    ReceptionDecision.WEAK_SIGNAL: BATCH_WEAK_SIGNAL,
-    ReceptionDecision.COLLISION: BATCH_COLLISION,
-}
+#: Decision by code (indexed by the ``BATCH_*`` values above).
+_DECISIONS = (
+    ReceptionDecision.RECEIVED,
+    ReceptionDecision.WEAK_SIGNAL,
+    ReceptionDecision.COLLISION,
+)
+
+#: Size at which :class:`SnrThresholdReception` clears its memo.  A disk
+#: channel repeats a handful of levels; continuous channels (two-ray, free
+#: space) never repeat one, so an unbounded memo grows with every receiver.
+NPI_MEMO_MAX = 4096
 
 
 @dataclass
@@ -58,7 +65,12 @@ class ReceptionOutcome:
 
 
 class ReceptionModel(ABC):
-    """Base class for reception decisions."""
+    """Base class for reception decisions.
+
+    Each model implements one primitive, :meth:`decide_code`; the medium
+    calls it once per receiver.  :meth:`decide` (decision plus SINR) and
+    :meth:`decide_batch` (an int8 array of codes) are built on it.
+    """
 
     def __init__(
         self,
@@ -76,33 +88,46 @@ class ReceptionModel(ABC):
         return rx_power_dbm - noise_plus_interference
 
     @abstractmethod
+    def decide_code(
+        self,
+        rx_power_dbm: float,
+        interference_dbm: float,
+        rng: Optional[random.Random] = None,
+    ) -> int:
+        """``BATCH_RECEIVED`` / ``BATCH_WEAK_SIGNAL`` / ``BATCH_COLLISION``
+        for a frame with the given signal and interference."""
+
     def decide(
         self,
         rx_power_dbm: float,
         interference_dbm: float,
         rng: Optional[random.Random] = None,
     ) -> ReceptionOutcome:
-        """Decide whether a frame with the given signal/interference is received."""
+        """:meth:`decide_code` as a decision plus the SINR behind it.
+
+        The SINR is ``-inf`` below the sensitivity (the signal never reached
+        the decision) and :meth:`sinr_db` otherwise.  The RNG is consumed
+        exactly as by :meth:`decide_code`.
+        """
+        code = self.decide_code(rx_power_dbm, interference_dbm, rng)
+        weak = rx_power_dbm < self.sensitivity_dbm
+        sinr = -math.inf if weak else self.sinr_db(rx_power_dbm, interference_dbm)
+        return ReceptionOutcome(_DECISIONS[code], sinr)
 
     def decide_batch(self, rx_power_dbm, interference_dbm, rng=None):
         """Decision codes (int8 array) for arrays of signal and interference.
 
-        Returns ``BATCH_RECEIVED`` / ``BATCH_WEAK_SIGNAL`` / ``BATCH_COLLISION``
-        per element.  The base implementation loops :meth:`decide` in element
-        order, which is exact for every model and consumes the RNG exactly as
-        a scalar loop over the same inputs would; deterministic subclasses
+        The base implementation loops :meth:`decide_code` in element order,
+        which is exact for every model and consumes the RNG exactly as a
+        scalar loop over the same inputs would; deterministic subclasses
         override it with array expressions.
         """
         from repro.sim.position_store import require_numpy
 
         np = require_numpy("decide_batch")
-        count = len(rx_power_dbm)
-        codes = np.empty(count, dtype=np.int8)
-        for i in range(count):
-            outcome = self.decide(
-                float(rx_power_dbm[i]), float(interference_dbm[i]), rng
-            )
-            codes[i] = _DECISION_CODES[outcome.decision]
+        codes = np.empty(len(rx_power_dbm), dtype=np.int8)
+        for i in range(len(codes)):
+            codes[i] = self.decide_code(float(rx_power_dbm[i]), float(interference_dbm[i]), rng)
         return codes
 
 
@@ -124,91 +149,64 @@ class SnrThresholdReception(ReceptionModel):
     ) -> None:
         super().__init__(sensitivity_dbm, noise_floor_dbm)
         self.snr_threshold_db = snr_threshold_db
-        #: (noise_floor_dbm, quiet-channel dBm, noise mW) -- the two derived
-        #: constants :meth:`decide_batch` needs every call, recomputed only
-        #: if the noise floor is reassigned.
-        self._noise_cache = None
-        #: interference dBm -> noise-plus-interference dBm, memoised across
-        #: :meth:`decide_batch` calls (the distinct interference levels a
-        #: disk channel produces repeat frame after frame).  Reset with the
-        #: noise cache.
-        self._npi_memo = {}
+        #: interference dBm -> noise-plus-interference dBm for the noise
+        #: floor ``_npi_noise``; cleared when the floor is reassigned or the
+        #: memo reaches :data:`NPI_MEMO_MAX` entries.
+        self._npi_memo: Dict[float, float] = {}
+        self._npi_noise = noise_floor_dbm
 
-    def decide(
+    def _noise_plus_interference(self, interference_dbm: float) -> float:
+        """``combine_dbm([noise_floor, interference])``, memoised per level.
+
+        The one place both the scalar and the batch decision get the SINR's
+        denominator; a memo hit returns the very value :meth:`sinr_db`
+        would compute, so decisions are bit-identical to it.
+        """
+        memo = self._npi_memo
+        if self._npi_noise != self.noise_floor_dbm:
+            memo.clear()
+            self._npi_noise = self.noise_floor_dbm
+        value = memo.get(interference_dbm)
+        if value is None:
+            if len(memo) >= NPI_MEMO_MAX:
+                memo.clear()
+            value = combine_dbm([self.noise_floor_dbm, interference_dbm])
+            memo[interference_dbm] = value
+        return value
+
+    def decide_code(
         self,
         rx_power_dbm: float,
         interference_dbm: float,
         rng: Optional[random.Random] = None,
-    ) -> ReceptionOutcome:
+    ) -> int:
         """Threshold test on sensitivity and SINR."""
         if rx_power_dbm < self.sensitivity_dbm:
-            return ReceptionOutcome(ReceptionDecision.WEAK_SIGNAL, -math.inf)
-        sinr = self.sinr_db(rx_power_dbm, interference_dbm)
-        if sinr < self.snr_threshold_db:
-            return ReceptionOutcome(ReceptionDecision.COLLISION, sinr)
-        return ReceptionOutcome(ReceptionDecision.RECEIVED, sinr)
+            return BATCH_WEAK_SIGNAL
+        if (
+            rx_power_dbm - self._noise_plus_interference(interference_dbm)
+            < self.snr_threshold_db
+        ):
+            return BATCH_COLLISION
+        return BATCH_RECEIVED
 
     def decide_batch(self, rx_power_dbm, interference_dbm, rng=None):
-        """Vectorized threshold test, bit-identical to :meth:`decide`.
+        """Vectorized threshold test, bit-identical to :meth:`decide_code`.
 
         The noise-plus-interference term depends only on the element's
-        interference level: ``combine([noise, NO_SIGNAL])`` for a quiet
-        channel, else the same noise-mW-plus-interference-mW round trip
-        :func:`combine_dbm` computes.  Both are pure scalar chains, so they
-        are evaluated once per *distinct* level and memoised across calls
-        (a disk channel produces the same handful of levels frame after
-        frame) -- applying the identical scalar chain to equal inputs is
-        bit-identical to evaluating it per element, whatever the
-        duplication pattern.  The SINR subtraction and both comparisons are
-        exact in IEEE-754.
+        interference level, so it is looked up once per *distinct* level
+        (:meth:`_noise_plus_interference`) and scattered back.  The SINR
+        subtraction and both comparisons are exact in IEEE-754.
         """
         from repro.sim.position_store import require_numpy
 
         np = require_numpy("decide_batch")
         rx = np.asarray(rx_power_dbm, dtype=np.float64)
-        interference = np.asarray(interference_dbm, dtype=np.float64)
-        cache = self._noise_cache
-        if cache is None or cache[0] != self.noise_floor_dbm:
-            noise = self.noise_floor_dbm
-            cache = (noise, combine_dbm([noise, NO_SIGNAL_DBM]), dbm_to_mw(noise))
-            self._noise_cache = cache
-            self._npi_memo = {}
-        memo = self._npi_memo
-        size = interference.size
-        if size >= 16:
-            ordered = np.sort(interference)
-            distinct = np.empty(size, dtype=bool)
-            distinct[0] = True
-            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-            unique = ordered[distinct]
-            npi_unique = np.empty(unique.size)
-            for index, level in enumerate(unique.tolist()):
-                value = memo.get(level)
-                if value is None:
-                    value = (
-                        cache[1]
-                        if level == NO_SIGNAL_DBM
-                        else mw_to_dbm(cache[2] + dbm_to_mw(level))
-                    )
-                    memo[level] = value
-                npi_unique[index] = value
-            noise_plus_interference = npi_unique[
-                np.searchsorted(unique, interference)
-            ]
-        else:
-            values = []
-            for level in interference.tolist():
-                value = memo.get(level)
-                if value is None:
-                    value = (
-                        cache[1]
-                        if level == NO_SIGNAL_DBM
-                        else mw_to_dbm(cache[2] + dbm_to_mw(level))
-                    )
-                    memo[level] = value
-                values.append(value)
-            noise_plus_interference = np.array(values, dtype=np.float64)
-        sinr = rx - noise_plus_interference
+        levels, inverse = np.unique(
+            np.asarray(interference_dbm, dtype=np.float64), return_inverse=True
+        )
+        npi = self._noise_plus_interference
+        sinr = rx - np.array([npi(level) for level in levels.tolist()], dtype=np.float64)[inverse]
         codes = np.zeros(len(rx), dtype=np.int8)  # BATCH_RECEIVED everywhere...
         codes[sinr < self.snr_threshold_db] = BATCH_COLLISION
         codes[rx < self.sensitivity_dbm] = BATCH_WEAK_SIGNAL
@@ -237,37 +235,33 @@ class ProbabilisticReception(ReceptionModel):
         self.snr_threshold_db = snr_threshold_db
         self.steepness_db = steepness_db
 
+    def _probability_at(self, sinr: float) -> float:
+        return 1.0 / (1.0 + math.exp(-(sinr - self.snr_threshold_db) / self.steepness_db))
+
     def success_probability(self, rx_power_dbm: float, interference_dbm: float) -> float:
         """Packet success probability for the given signal and interference."""
         if rx_power_dbm < self.sensitivity_dbm:
             return 0.0
-        sinr = self.sinr_db(rx_power_dbm, interference_dbm)
-        return 1.0 / (1.0 + math.exp(-(sinr - self.snr_threshold_db) / self.steepness_db))
+        return self._probability_at(self.sinr_db(rx_power_dbm, interference_dbm))
 
-    def decide(
+    def decide_code(
         self,
         rx_power_dbm: float,
         interference_dbm: float,
         rng: Optional[random.Random] = None,
-    ) -> ReceptionOutcome:
+    ) -> int:
         """Bernoulli draw against the logistic success probability."""
         if rx_power_dbm < self.sensitivity_dbm:
-            return ReceptionOutcome(ReceptionDecision.WEAK_SIGNAL, -math.inf)
-        sinr = self.sinr_db(rx_power_dbm, interference_dbm)
-        probability = self.success_probability(rx_power_dbm, interference_dbm)
+            return BATCH_WEAK_SIGNAL
+        probability = self._probability_at(self.sinr_db(rx_power_dbm, interference_dbm))
         draw = rng.random() if rng is not None else 0.5
         if draw <= probability:
-            return ReceptionOutcome(ReceptionDecision.RECEIVED, sinr)
+            return BATCH_RECEIVED
         # Attribute probabilistic losses to interference when interference is
         # the dominant impairment, otherwise to weak signal.
-        interference_mw = dbm_to_mw(interference_dbm)
-        noise_mw = dbm_to_mw(self.noise_floor_dbm)
-        decision = (
-            ReceptionDecision.COLLISION
-            if interference_mw > noise_mw
-            else ReceptionDecision.WEAK_SIGNAL
-        )
-        return ReceptionOutcome(decision, sinr)
+        if dbm_to_mw(interference_dbm) > dbm_to_mw(self.noise_floor_dbm):
+            return BATCH_COLLISION
+        return BATCH_WEAK_SIGNAL
 
 
 __all__ = [
@@ -281,5 +275,6 @@ __all__ = [
     "BATCH_COLLISION",
     "DEFAULT_NOISE_FLOOR_DBM",
     "DEFAULT_SENSITIVITY_DBM",
+    "NPI_MEMO_MAX",
     "mw_to_dbm",
 ]

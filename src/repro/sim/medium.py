@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.geometry import Vec2
 from repro.radio.interference import (
@@ -51,12 +51,7 @@ from repro.radio.interference import (
     mw_to_dbm_batch,
 )
 from repro.radio.propagation import PropagationModel
-from repro.radio.reception import (
-    BATCH_COLLISION,
-    BATCH_RECEIVED,
-    ReceptionDecision,
-    ReceptionModel,
-)
+from repro.radio.reception import BATCH_COLLISION, BATCH_RECEIVED, ReceptionModel
 from repro.sim.engine import Simulator
 from repro.sim.packet import BROADCAST, Packet
 from repro.sim.spatial import UniformGridIndex, make_spatial_index
@@ -423,12 +418,18 @@ class WirelessMedium:
         """True when ``node`` senses an ongoing transmission above the CS threshold."""
         now = self.sim.now
         position = node.position
+        x = position.x
+        y = position.y
+        rx_power_from_distance = self.propagation.rx_power_dbm_from_distance
+        sqrt = math.sqrt
         for tx in self._transmissions_near(position, self._carrier_sense_reach()):
             if tx.end <= now or tx.sender_id == node.node_id:
                 continue
-            rx_power = self.propagation.rx_power_dbm(
-                tx.tx_power_dbm, tx.sender_position, position
-            )
+            # Inlined twin of `tx.sender_position.distance_to(position)`.
+            sender = tx.sender_position
+            dx = sender.x - x
+            dy = sender.y - y
+            rx_power = rx_power_from_distance(tx.tx_power_dbm, sqrt(dx * dx + dy * dy))
             if rx_power >= self.carrier_sense_threshold_dbm:
                 return True
         return False
@@ -503,6 +504,35 @@ class WirelessMedium:
             return packet.view()
         return packet.copy()
 
+    def _interferers(
+        self, transmission: ActiveTransmission, cutoff: float
+    ) -> List[Tuple[float, float, float]]:
+        """``(x, y, tx power dBm)`` of each frame overlapping ``transmission``
+        in time that can reach one of its receivers, in index order.
+
+        Every receiver of this frame sits within ``cutoff`` of the sender, so
+        (by the triangle inequality) every transmission that can interfere
+        at any of them sits within ``cutoff + carrier-sense reach`` of the
+        sender.  Fetching the overlap-filtered candidates once per frame
+        keeps the per-receiver interference loop free of index queries and
+        attribute reads.  A model that ignores contributions
+        (NoInterference) skips the whole gathering: per-interferer rx powers
+        are a per-frame hot path.
+        """
+        interferers: List[Tuple[float, float, float]] = []
+        if not self.interference.uses_contributions:
+            return interferers
+        start = transmission.start
+        end = transmission.end
+        uid = transmission.uid
+        for other in self._transmissions_near(
+            transmission.sender_position, cutoff + self._carrier_sense_reach()
+        ):
+            if other.uid != uid and other.end > start and other.start < end:
+                origin = other.sender_position
+                interferers.append((origin.x, origin.y, other.tx_power_dbm))
+        return interferers
+
     def _complete(self, transmission: ActiveTransmission) -> None:
         if (
             self._vectorized
@@ -521,25 +551,7 @@ class WirelessMedium:
         rng = self.sim.rng.stream("phy-reception")
         is_unicast = transmission.next_hop != BROADCAST
         unicast_delivered = False
-        # Every receiver of this frame sits within `cutoff` of the sender, so
-        # (by the triangle inequality) every transmission that can interfere
-        # at any of them sits within `cutoff + carrier-sense reach` of the
-        # sender.  Fetching the overlap-filtered candidates once here keeps
-        # the per-receiver interference loop free of index queries.  A model
-        # that ignores contributions (NoInterference) skips the whole
-        # gathering: per-interferer rx powers are a per-frame hot path.
-        if self.interference.uses_contributions:
-            interferers = [
-                other
-                for other in self._transmissions_near(
-                    transmission.sender_position, cutoff + self._carrier_sense_reach()
-                )
-                if other.uid != transmission.uid
-                and other.end > transmission.start
-                and other.start < transmission.end
-            ]
-        else:
-            interferers = []
+        interferers = self._interferers(transmission, cutoff)
         sender_position = transmission.sender_position
         sender_x = sender_position.x
         sender_y = sender_position.y
@@ -548,7 +560,7 @@ class WirelessMedium:
         packet = transmission.packet
         tx_power_dbm = transmission.tx_power_dbm
         rx_power_from_distance = self.propagation.rx_power_dbm_from_distance
-        decide = self.reception.decide
+        decide_code = self.reception.decide_code
         trace = self.trace if self.trace.enabled else None
         sqrt = math.sqrt
         for node in self._nodes_near(sender_position, cutoff):
@@ -568,12 +580,14 @@ class WirelessMedium:
             if rx_power <= NO_SIGNAL_DBM:
                 continue
             if interferers:
-                interference = self._interference_at(receiver_position, interferers)
+                interference = self._interference_at(
+                    receiver_position.x, receiver_position.y, interferers
+                )
             else:
                 interference = NO_SIGNAL_DBM
-            outcome = decide(rx_power, interference, rng)
+            code = decide_code(rx_power, interference, rng)
             intended = next_hop == BROADCAST or next_hop == node_id
-            if outcome.ok:
+            if code == BATCH_RECEIVED:
                 if intended:
                     if is_unicast:
                         unicast_delivered = True
@@ -591,7 +605,7 @@ class WirelessMedium:
                         sender_id,
                         rx_power_dbm=rx_power,
                     )
-            elif outcome.decision is ReceptionDecision.COLLISION:
+            elif code == BATCH_COLLISION:
                 if intended:
                     self.stats.collision()
                     if trace is not None:
@@ -702,18 +716,7 @@ class WirelessMedium:
         unicast_delivered = False
         np = self._np
         store = self.position_store
-        if self.interference.uses_contributions:
-            interferers = [
-                other
-                for other in self._transmissions_near(
-                    transmission.sender_position, cutoff + self._carrier_sense_reach()
-                )
-                if other.uid != transmission.uid
-                and other.end > transmission.start
-                and other.start < transmission.end
-            ]
-        else:
-            interferers = []
+        interferers = self._interferers(transmission, cutoff)
         self._maybe_refresh_positions()
         sender_position = transmission.sender_position
         count = store.size
@@ -763,8 +766,8 @@ class WirelessMedium:
             # python loop of per-interferer arrays; subtraction, multiply
             # and sqrt are elementwise-exact, so each entry carries the
             # same bits the per-interferer expression produced.
-            other_xs = np.array([o.sender_position.x for o in interferers])
-            other_ys = np.array([o.sender_position.y for o in interferers])
+            other_xs = np.array([other[0] for other in interferers])
+            other_ys = np.array([other[1] for other in interferers])
             odx = kept_xs[np.newaxis, :] - other_xs[:, np.newaxis]
             ody = kept_ys[np.newaxis, :] - other_ys[:, np.newaxis]
             other_distances = np.sqrt(odx * odx + ody * ody)
@@ -772,7 +775,7 @@ class WirelessMedium:
             # in mW, and the propagation model's mW batch is bit-identical
             # to converting its dBm batch element by element (out-of-range
             # entries land on exact 0.0, and 0.0 + x == x in the fold).
-            tx_powers = [o.tx_power_dbm for o in interferers]
+            tx_powers = [other[2] for other in interferers]
             same_power = len(set(tx_powers)) == 1
             profile = (
                 self.propagation.constant_rx_profile(tx_powers[0])
@@ -798,9 +801,9 @@ class WirelessMedium:
                     ).reshape(other_distances.shape)
                 else:
                     contributions_mw = np.empty_like(other_distances)
-                    for i, other in enumerate(interferers):
+                    for i, tx_power in enumerate(tx_powers):
                         contributions_mw[i] = self.propagation.rx_power_mw_batch(
-                            other.tx_power_dbm, other_distances[i]
+                            tx_power, other_distances[i]
                         )
                 # Fold row by row: the scalar path sums contributions in
                 # interferer order, and float addition is order-sensitive.
@@ -909,17 +912,22 @@ class WirelessMedium:
         return entry[0]
 
     def _interference_at(
-        self, position: Vec2, interferers: List[ActiveTransmission]
+        self, x: float, y: float, interferers: List[Tuple[float, float, float]]
     ) -> float:
-        """Aggregate power of the overlapping ``interferers`` at ``position``.
+        """Aggregate power at ``(x, y)`` of the overlapping ``interferers``
+        (see :meth:`_interferers`).
 
         How the contributions combine is the stack's interference model
         (additive power by default).
         """
         contributions: List[float] = []
-        rx_power_dbm = self.propagation.rx_power_dbm
-        for other in interferers:
-            power = rx_power_dbm(other.tx_power_dbm, other.sender_position, position)
+        rx_power_from_distance = self.propagation.rx_power_dbm_from_distance
+        sqrt = math.sqrt
+        for sender_x, sender_y, tx_power_dbm in interferers:
+            # Inlined twin of the sender position's `distance_to(...)`.
+            dx = sender_x - x
+            dy = sender_y - y
+            power = rx_power_from_distance(tx_power_dbm, sqrt(dx * dx + dy * dy))
             if power > NO_SIGNAL_DBM:
                 contributions.append(power)
         if not contributions:

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, ItemsView, Iterator, KeysView, Optional, ValuesView
 
 #: Link-layer broadcast address.  A packet sent to ``BROADCAST`` is delivered
 #: to every node that successfully receives the frame.
@@ -93,6 +93,31 @@ class CowMapping(MutableMapping):
     def __bool__(self) -> bool:
         local = self._local
         return bool(self._shared if local is None else local)
+
+    # Reads below go straight to the backing dict's C methods instead of the
+    # ``Mapping`` mixins, which re-enter ``__getitem__``/``__iter__`` per key
+    # (beacon handling reads headers per receiver).  The views returned by
+    # ``keys``/``items``/``values`` belong to the dict in effect at the call:
+    # a later first write moves the view's mapping to a private copy.
+    def __contains__(self, key: object) -> bool:
+        local = self._local
+        return key in (self._shared if local is None else local)
+
+    def get(self, key: str, default: Any = None) -> Any:
+        local = self._local
+        return (self._shared if local is None else local).get(key, default)
+
+    def keys(self) -> KeysView[str]:
+        local = self._local
+        return (self._shared if local is None else local).keys()
+
+    def items(self) -> ItemsView[str, Any]:
+        local = self._local
+        return (self._shared if local is None else local).items()
+
+    def values(self) -> ValuesView[Any]:
+        local = self._local
+        return (self._shared if local is None else local).values()
 
     def content(self) -> Dict[str, Any]:
         """The backing dict currently in effect (shared until first write)."""

@@ -161,6 +161,61 @@ class TestExpectedDuration:
         assert receding < steady
 
 
+def _plain_trapezoid(d0, mean=0.0, std=2.0, r=250.0, horizon=600.0, step=1.0):
+    """The survival integral written straight over link_alive_probability."""
+    if abs(d0) > r:
+        return 0.0
+    total = 0.0
+    previous = 1.0
+    t = step
+    while t <= horizon:
+        current = link_alive_probability(d0, t, mean, std, r)
+        total += 0.5 * (previous + current) * step
+        previous = current
+        if current < 1e-4:
+            break
+        t += step
+    return total
+
+
+class TestExpectedDurationMatchesPlainTrapezoid:
+    """The hoisted integrand is bit-equal to calling link_alive_probability."""
+
+    @pytest.mark.parametrize(
+        "d0,mean,std,r,horizon,step",
+        [
+            (0.0, 0.0, 2.0, 250.0, 600.0, 1.0),
+            (120.0, 3.5, 2.0, 250.0, 600.0, 1.0),
+            (-80.0, -1.25, 0.7, 300.0, 600.0, 0.5),
+            (249.9, 12.0, 6.0, 250.0, 600.0, 1.0),  # stops early on < 1e-4
+            (10.0, 0.0, 0.0, 250.0, 600.0, 1.0),  # std = 0, never leaves
+            (10.0, 4.0, 0.0, 250.0, 600.0, 1.0),  # std = 0, leaves at t = 60
+            (100.0, 1.0, -1.0, 250.0, 50.0, 1.0),  # negative std: degenerate
+            (251.0, 0.0, 2.0, 250.0, 600.0, 1.0),  # d0 > r
+            (50.0, 0.3, 1e-320, 250.0, 2e-4, 1e-5),  # spread underflows to 0
+            (30.0, 0.0, 2.0, 250.0, 0.5, 1.0),  # horizon below one step
+        ],
+    )
+    def test_bit_equal(self, d0, mean, std, r, horizon, step):
+        got = expected_link_duration(d0, mean, std, r, horizon, step)
+        want = _plain_trapezoid(d0, mean, std, r, horizon, step)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want
+
+    def test_early_stop_is_taken(self):
+        # A fast-receding pair drops below 1e-4 well before the horizon.
+        assert expected_link_duration(249.9, 12.0, 6.0) < 600.0 / 10
+        assert expected_link_duration(251.0, 0.0, 2.0) == 0.0
+
+    def test_bit_equal_over_a_sweep(self):
+        for d0 in (-240.0, -100.5, 0.0, 33.3, 199.0):
+            for mean in (-7.0, -0.1, 0.0, 2.2, 9.0):
+                for std in (0.5, 2.0, 5.0):
+                    assert expected_link_duration(d0, mean, std) == _plain_trapezoid(
+                        d0, mean, std
+                    )
+
+
 class TestLinkStabilityModel:
     def test_availability_and_duration_from_kinematics(self):
         model = LinkStabilityModel(communication_range=250.0, relative_speed_std=2.0)

@@ -45,6 +45,28 @@ class TestCowMapping:
         cow["nested"]["x"] = 42
         assert shared["nested"]["x"] == 1
 
+    def test_dict_reads_before_and_after_a_write(self):
+        shared = {"a": 1, "b": [2, 3], "c": None}
+        frozen = {"a": 1, "b": [2, 3], "c": None}
+        cow = CowMapping(shared)
+        assert cow.get("a") == 1 and cow.get("c", "x") is None
+        assert cow.get("missing") is None and cow.get("missing", 5) == 5
+        assert "b" in cow and "missing" not in cow and 3 not in cow
+        assert list(cow.keys()) == list(shared.keys())
+        assert list(cow.items()) == list(shared.items())
+        assert list(cow.values()) == list(shared.values())
+        cow["a"] = 99
+        cow["d"] = 4
+        del cow["c"]
+        assert cow.get("a") == 99 and cow.get("d") == 4 and cow.get("c") is None
+        assert "d" in cow and "c" not in cow
+        # Iteration order is the base's, with appended keys at the end.
+        assert list(cow.keys()) == ["a", "b", "d"]
+        assert list(cow.items()) == [("a", 99), ("b", [2, 3]), ("d", 4)]
+        assert list(cow.values()) == [99, [2, 3], 4]
+        assert dict(cow) == {"a": 99, "b": [2, 3], "d": 4}
+        assert shared == frozen
+
     def test_delete_materializes_too(self):
         shared = {"a": 1, "b": 2}
         cow = CowMapping(shared)
